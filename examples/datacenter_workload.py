@@ -15,7 +15,7 @@ from repro import PipelineModel
 from repro.arch.segmented import SegmentedMultiplier
 from repro.core.scheduler import ChipScheduler, MultiplicationJob
 from repro.ntt.params import params_for_degree
-from repro.ntt.transform import negacyclic_multiply_np
+from repro.ntt.transform import NttEngine
 
 
 def schedule_the_day() -> None:
@@ -56,7 +56,7 @@ def beyond_native_degree() -> None:
 
     # q = 786433 happens to support a direct 65536-point transform, so we
     # can verify the segmented result against it outright.
-    reference = negacyclic_multiply_np(a, b, params_for_degree(65536))
+    reference = NttEngine(params_for_degree(65536)).multiply(a, b)
     assert np.array_equal(product, reference)
     native = PipelineModel.for_degree(32768).report(True)
     passes = multiplier.hardware_passes()

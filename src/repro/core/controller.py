@@ -109,7 +109,10 @@ def compile_multiplication(model: PipelineModel) -> ControllerProgram:
 def pipelined_completion_cycles(model: PipelineModel, count: int) -> List[int]:
     """Completion cycle of each of ``count`` back-to-back multiplications
     streamed through the pipeline: result k (1-based) finishes at
-    ``(depth + k - 1) * stage_latency``."""
+    ``(depth + k - 1) * stage_latency``.
+
+    This is the one-superbank, native-degree case of the chip's cycle law,
+    :meth:`repro.serve.scheduler.ChipTimeline.dispatch`."""
     if count < 1:
         raise ValueError("count must be >= 1")
     stage = model.stage_cycles

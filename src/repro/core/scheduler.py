@@ -11,7 +11,10 @@ Model: jobs of the same degree share one chip configuration; the chip is
 reconfigured between degree groups (a fixed reconfiguration penalty, since
 softbank/superbank wiring is switch state).  Within a group, each
 superbank streams its share through its pipeline; a group finishes when
-its most-loaded superbank drains.
+its most-loaded superbank drains.  The schedule is a fold over a fresh
+:class:`repro.serve.scheduler.ChipTimeline` - one dispatch per degree
+group, in degree order - so batch planning and serving price the chip
+with the same completion law.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from math import ceil
 from typing import Dict, List, Sequence
 
 from ..arch.chip import CryptoPimChip
-from .pipeline import PipelineModel
 
 __all__ = ["MultiplicationJob", "GroupSchedule", "ScheduleReport",
            "ChipScheduler"]
@@ -87,44 +89,32 @@ class ChipScheduler:
     def __init__(self, chip: CryptoPimChip | None = None):
         self.chip = chip if chip is not None else CryptoPimChip()
 
-    def group_duration_cycles(self, n: int, count: int) -> int:
-        """Pipeline fill + steady-state drain for ``count`` multiplications
-        spread over the configured superbanks."""
-        config = self.chip.configure(n)
-        model = PipelineModel.for_degree(min(n, 32768))
-        per_superbank = ceil(count / config.parallel_multiplications)
-        # each input may itself need several 32k segments
-        items = per_superbank * config.segments_per_polynomial
-        return (model.depth + items - 1) * model.stage_cycles
-
     def schedule(self, jobs: Sequence[MultiplicationJob]) -> ScheduleReport:
         """Greedy degree-grouped schedule (jobs of equal n are merged)."""
+        # the timeline lives in the serving layer, which imports this module
+        from ..serve.scheduler import ChipTimeline
+
         if not jobs:
             raise ValueError("nothing to schedule")
         merged: Dict[int, int] = {}
         for job in jobs:
             merged[job.n] = merged.get(job.n, 0) + job.count
-        groups: List[GroupSchedule] = []
-        clock = 0
-        device = PipelineModel.for_degree(256).device
-        for n in sorted(merged):
-            count = merged[n]
-            config = self.chip.configure(n)
-            duration = self.group_duration_cycles(n, count)
-            if groups:  # reconfiguration between degree groups
-                clock += RECONFIGURATION_CYCLES
-            groups.append(GroupSchedule(
-                n=n,
-                count=count,
-                superbanks=config.parallel_multiplications,
-                per_superbank=ceil(count / config.parallel_multiplications),
-                start_cycle=clock,
-                duration_cycles=duration,
-            ))
-            clock += duration
+        timeline = ChipTimeline(chip=self.chip)
+        timings = [timeline.dispatch(n, merged[n]) for n in sorted(merged)]
+        groups = [
+            GroupSchedule(
+                n=t.n,
+                count=t.count,
+                superbanks=t.superbanks,
+                per_superbank=ceil(t.count / t.superbanks),
+                start_cycle=t.start_cycle,
+                duration_cycles=t.end_cycle - t.start_cycle,
+            )
+            for t in timings
+        ]
         return ScheduleReport(
             groups=groups,
-            makespan_cycles=clock,
-            makespan_us=device.cycles_to_us(clock),
-            total_multiplications=sum(merged.values()),
+            makespan_cycles=timeline.clock_cycles,
+            makespan_us=timings[-1].completion_us[-1],
+            total_multiplications=timeline.items,
         )

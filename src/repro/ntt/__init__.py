@@ -52,11 +52,8 @@ from .incomplete import KYBER_ROUND3_Q, IncompleteNtt
 from .transform import (
     NttEngine,
     intt_gs,
-    intt_gs_np,
     negacyclic_multiply,
-    negacyclic_multiply_np,
     ntt_gs,
-    ntt_gs_np,
 )
 from .variants import (
     intt_dit,

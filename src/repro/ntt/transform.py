@@ -14,9 +14,11 @@ multiply pointwise, inverse-transform, scale by ``n^-1 * phi^-i``.
 
 Two implementations are provided with identical semantics:
 
-* pure-Python on ``list[int]`` - the readable ground truth;
-* vectorised numpy on ``uint64`` arrays - the fast path used by the PIM
-  simulator's functional mode and the CPU baseline.
+* pure-Python on ``list[int]`` - the readable ground truth and the
+  independent oracle for everything else;
+* :class:`NttEngine` - the batched numpy engine over
+  :func:`repro.ntt.batch.gs_kernel_batch`, used by the PIM simulator's
+  functional mode, the crypto layer and the CPU baseline.
 """
 
 from __future__ import annotations
@@ -36,16 +38,13 @@ from .batch import (
     shoup_table,
     stage_plan,
 )
-from .bitrev import bitrev_indices, bitrev_permute, bitrev_permute_array
+from .bitrev import bitrev_permute
 from .params import NttParams, params_for_degree
 
 __all__ = [
     "ntt_gs",
     "intt_gs",
     "negacyclic_multiply",
-    "ntt_gs_np",
-    "intt_gs_np",
-    "negacyclic_multiply_np",
     "NttEngine",
 ]
 
@@ -118,50 +117,6 @@ def negacyclic_multiply(
     c_twisted = intt_gs(c_hat, params)
     phi_inv = params.phi_inv_powers()
     return [(x * p) % q for x, p in zip(c_twisted, phi_inv)]
-
-
-# ---------------------------------------------------------------------------
-# Vectorised numpy kernel
-# ---------------------------------------------------------------------------
-
-def _gs_kernel_np(values: np.ndarray, twiddles_bitrev: np.ndarray, q: int) -> np.ndarray:
-    """Vectorised Algorithm 2 on a bit-reversed uint64 array (in place).
-
-    A batch-of-one view of :func:`repro.ntt.batch.gs_kernel_batch`: the
-    per-stage index tables / strided geometry come from the cached
-    :func:`repro.ntt.batch.stage_plan`, so repeated calls at the same
-    degree no longer rebuild ``np.arange`` + masks per stage.
-    """
-    gs_kernel_batch(values[None], np.asarray(twiddles_bitrev, dtype=np.uint64), q)
-    return values
-
-
-def ntt_gs_np(values: np.ndarray, params: NttParams) -> np.ndarray:
-    """Vectorised forward NTT; natural-order in, natural-order out."""
-    work = bitrev_permute_array(np.asarray(values, dtype=np.uint64) % params.q)
-    tw = np.asarray(params.forward_twiddles_bitrev(), dtype=np.uint64)
-    return _gs_kernel_np(work, tw, params.q)
-
-
-def intt_gs_np(values: np.ndarray, params: NttParams) -> np.ndarray:
-    """Vectorised inverse NTT including the ``n^-1`` scaling."""
-    work = bitrev_permute_array(np.asarray(values, dtype=np.uint64) % params.q)
-    tw = np.asarray(params.inverse_twiddles_bitrev(), dtype=np.uint64)
-    _gs_kernel_np(work, tw, params.q)
-    return (work * params.n_inv) % params.q
-
-
-def negacyclic_multiply_np(
-    a: np.ndarray, b: np.ndarray, params: NttParams
-) -> np.ndarray:
-    """Vectorised Algorithm 1."""
-    q = params.q
-    phi = np.asarray(params.phi_powers(), dtype=np.uint64)
-    a_hat = ntt_gs_np((np.asarray(a, dtype=np.uint64) * phi) % q, params)
-    b_hat = ntt_gs_np((np.asarray(b, dtype=np.uint64) * phi) % q, params)
-    c_twisted = intt_gs_np((a_hat * b_hat) % q, params)
-    phi_inv = np.asarray(params.phi_inv_powers(), dtype=np.uint64)
-    return (c_twisted * phi_inv) % q
 
 
 # ---------------------------------------------------------------------------

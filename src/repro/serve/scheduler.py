@@ -5,17 +5,19 @@ public-key traffic next to n=2048 homomorphic eval), but there is exactly
 one chip.  :class:`ChipGate` serialises batch execution behind an asyncio
 lock - the software analogue of the single physical bank array - and
 :class:`ChipTimeline` keeps the *analytic* account of what that chip has
-done: every dispatched batch advances a virtual cycle clock using the same
-``(depth + k - 1) * stage_cycles`` completion law as
-:func:`repro.core.controller.pipelined_completion_cycles`, charging the
-:data:`~repro.core.scheduler.RECONFIGURATION_CYCLES` switch-rewiring
-penalty whenever consecutive batches change degree (Section III-D.2's
-softbank/superbank re-arrangement).
+done.  :meth:`ChipTimeline.dispatch` is the chip's one completion law;
+:class:`repro.core.scheduler.ChipScheduler` folds over it and
+:func:`repro.core.controller.pipelined_completion_cycles` is its
+one-pipeline case.  Every dispatched batch advances a virtual cycle clock,
+charging the :data:`~repro.core.scheduler.RECONFIGURATION_CYCLES`
+switch-rewiring penalty whenever consecutive batches change degree
+(Section III-D.2's softbank/superbank re-arrangement).
 
-Per-request simulated completion cycles fall out of the same law: request
-``i`` of a ``count``-item batch lands on superbank ``i % S`` in pipeline
-slot ``i // S``, so it completes at
-``start + (depth + i // S) * stage_cycles``.
+Request ``i`` of a ``count``-item batch lands on superbank ``i % S`` in
+pipeline slot ``i // S``.  A polynomial above the native degree streams as
+``seg`` consecutive 32k segments, so the request completes at
+``start + (depth + (i // S + 1) * seg - 1) * stage_cycles``; for native
+degrees (``seg == 1``) that is ``start + (depth + i // S) * stage_cycles``.
 """
 
 from __future__ import annotations
@@ -112,11 +114,12 @@ class ChipTimeline:
             self.reconfig_cycles += reconfig
         start = self.clock_cycles + reconfig
         superbanks = config.parallel_multiplications
-        stage = model.stage_cycles * config.segments_per_polynomial
-        depth = model.depth
-        completions = [
-            start + (depth + i // superbanks) * stage for i in range(count)
-        ]
+        seg = config.segments_per_polynomial
+        stage = model.stage_cycles
+        # start + (depth + (i // S + 1) * seg - 1) * stage, factored
+        first = start + (model.depth + seg - 1) * stage
+        slot = seg * stage
+        completions = [first + (i // superbanks) * slot for i in range(count)]
         self.configured_n = n
         self.clock_cycles = completions[-1]
         self.busy_cycles += completions[-1] - start
@@ -134,12 +137,12 @@ class ChipTimeline:
         )
 
     def span_estimate(self, n: int) -> int:
-        """Cycles of one full degree-``n`` pipeline pass (depth x stage) -
-        the natural unit of backlog for fleet routing heuristics."""
-        config = self.chip.configure(n)
+        """Cycles one degree-``n`` multiplication takes on an idle chip,
+        by the dispatch law - the natural unit of backlog for fleet
+        routing heuristics."""
+        seg = self.chip.configure(n).segments_per_polynomial
         model = self._model(n)
-        stage = model.stage_cycles * config.segments_per_polynomial
-        return model.depth * stage
+        return (model.depth + seg - 1) * model.stage_cycles
 
     def advance_idle(self, cycles: int) -> None:
         """Advance the clock through ``cycles`` of explicit idleness

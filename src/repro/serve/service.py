@@ -11,7 +11,8 @@ and execute through the *batched* kernel entry points grown in PR 1 -
 ``BfvScheme.multiply_many`` - so one kernel dispatch serves a whole
 window of clients.
 
-Handler table (payload contract per :class:`RequestKind`):
+Handler table (``_HANDLERS``, one entry per :class:`RequestKind`: payload
+check, mult-equivalents and batched executor):
 
 ========================  =====================================================
 POLYMUL                   ``(a, b)`` - two length-``n`` coefficient arrays
@@ -36,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,10 +67,6 @@ __all__ = ["ServiceConfig", "CryptoPimService", "KYBER_DEGREE"]
 
 #: Kyber is pinned to the paper's small operating point
 KYBER_DEGREE = 256
-
-_KEM_KINDS = (RequestKind.KYBER_ENCAPS, RequestKind.KYBER_DECAPS)
-_HE_PAIR_KINDS = (RequestKind.BGV_ADD, RequestKind.BGV_MULTIPLY,
-                  RequestKind.BFV_ADD, RequestKind.BFV_MULTIPLY)
 
 
 @dataclass(frozen=True)
@@ -149,6 +146,104 @@ class _QueueState:
     queue: "asyncio.PriorityQueue"
     window: BatchWindow
     worker: Optional["asyncio.Task"] = field(repr=False, default=None)
+
+
+# -- handler table ------------------------------------------------------------
+#
+# Executors reach every kernel through the service instance at call time
+# (``svc.accelerator(n).multiply_batch`` ...), never through a function
+# bound here at import, so wrappers installed on those classes see every
+# served batch.
+
+def _require(ok: bool) -> None:
+    if not ok:
+        raise ValueError
+
+
+def _two_vectors(payload: Any, n: int) -> None:
+    a, b = payload
+    _require(len(a) == n and len(b) == n)
+
+
+def _one_vector(payload: Any, n: int) -> None:
+    _require(len(payload) == n)
+
+
+def _ciphertext_pair(payload: Any, n: int) -> None:
+    x, y = payload
+    _require(hasattr(x, "parts") and hasattr(y, "parts"))
+
+
+def _tensor_products(svc: "CryptoPimService", payload: Any) -> int:
+    x, y = payload
+    return len(x.parts) * len(y.parts)
+
+
+def _rows(payloads: List[Any]) -> np.ndarray:
+    return np.stack([np.asarray(p, dtype=np.uint64) for p in payloads])
+
+
+@dataclass(frozen=True)
+class _Handler:
+    """How the service serves one request kind.
+
+    ``execute(svc, n, payloads)`` serves a whole batch, in order.
+    ``check(payload, n)`` raises TypeError/ValueError on a malformed
+    payload, which is refused as INVALID with ``invalid`` (formatted with
+    ``n``).  ``mults(svc, payload)`` is the chip multiplications charged
+    per request; POLYMUL, each NTT direction and the adds (vector ops an
+    order cheaper) take one pipeline slot.  ``kyber`` pins the kind to
+    :data:`KYBER_DEGREE`.
+    """
+
+    execute: Callable[["CryptoPimService", int, List[Any]], List[Any]]
+    check: Callable[[Any, int], None] = lambda payload, n: None
+    invalid: str = ""
+    mults: Callable[["CryptoPimService", Any], int] = lambda svc, payload: 1
+    kyber: bool = False
+
+
+_NTT_INVALID = "NTT payload must be one length-{n} vector"
+_EVAL_INVALID = "eval payload must be a ciphertext pair"
+
+_HANDLERS: Dict[RequestKind, _Handler] = {
+    RequestKind.POLYMUL: _Handler(
+        lambda svc, n, ps: svc.accelerator(n).multiply_batch(ps).results,
+        check=_two_vectors,
+        invalid="POLYMUL payload must be two length-{n} vectors"),
+    RequestKind.NTT_FORWARD: _Handler(
+        lambda svc, n, ps: list(svc.engine(n).forward_many(_rows(ps))),
+        check=_one_vector, invalid=_NTT_INVALID),
+    RequestKind.NTT_INVERSE: _Handler(
+        lambda svc, n, ps: list(svc.engine(n).inverse_many(_rows(ps))),
+        check=_one_vector, invalid=_NTT_INVALID),
+    RequestKind.KYBER_ENCAPS: _Handler(
+        lambda svc, n, ps: svc.kyber()[0].encapsulate_many(
+            svc.kyber()[1], len(ps)),
+        mults=lambda svc, _: svc.kyber()[0].pke.multiplications_per_encrypt(),
+        kyber=True),
+    RequestKind.KYBER_DECAPS: _Handler(
+        lambda svc, n, ps: svc.kyber()[0].decapsulate_many(
+            svc.kyber()[2], ps),
+        check=lambda payload, n: _require(hasattr(payload, "u")),
+        invalid="decaps payload must be a Kyber ciphertext",
+        mults=lambda svc, _: svc.kyber()[0].pke.k,
+        kyber=True),
+    RequestKind.BGV_ADD: _Handler(
+        lambda svc, n, ps: [svc.bgv(n)[0].add(x, y) for x, y in ps],
+        check=_ciphertext_pair, invalid=_EVAL_INVALID),
+    RequestKind.BGV_MULTIPLY: _Handler(
+        lambda svc, n, ps: svc.bgv(n)[0].multiply_many(ps),
+        check=_ciphertext_pair, invalid=_EVAL_INVALID,
+        mults=_tensor_products),
+    RequestKind.BFV_ADD: _Handler(
+        lambda svc, n, ps: [svc.bfv(n)[0].add(x, y) for x, y in ps],
+        check=_ciphertext_pair, invalid=_EVAL_INVALID),
+    RequestKind.BFV_MULTIPLY: _Handler(
+        lambda svc, n, ps: svc.bfv(n)[0].multiply_many(ps),
+        check=_ciphertext_pair, invalid=_EVAL_INVALID,
+        mults=_tensor_products),
+}
 
 
 class CryptoPimService:
@@ -242,41 +337,18 @@ class CryptoPimService:
             return refuse(RejectReason.UNSUPPORTED,
                           f"unknown kind {request.kind!r}")
         n = request.n
-        if request.kind in _KEM_KINDS and n != KYBER_DEGREE:
+        handler = _HANDLERS[request.kind]
+        if handler.kyber and n != KYBER_DEGREE:
             return refuse(RejectReason.UNSUPPORTED,
                           f"Kyber serves n={KYBER_DEGREE} only")
         if n < 4 or n & (n - 1) or n > MAX_NATIVE_DEGREE:
             return refuse(
                 RejectReason.UNSUPPORTED,
                 f"degree must be a power of two in [4, {MAX_NATIVE_DEGREE}]")
-        payload = request.payload
-        if request.kind is RequestKind.POLYMUL:
-            try:
-                a, b = payload
-                if len(a) != n or len(b) != n:
-                    raise ValueError
-            except (TypeError, ValueError):
-                return refuse(RejectReason.INVALID,
-                              f"POLYMUL payload must be two length-{n} vectors")
-        elif request.kind in (RequestKind.NTT_FORWARD, RequestKind.NTT_INVERSE):
-            try:
-                if len(payload) != n:
-                    raise ValueError
-            except (TypeError, ValueError):
-                return refuse(RejectReason.INVALID,
-                              f"NTT payload must be one length-{n} vector")
-        elif request.kind in _HE_PAIR_KINDS:
-            try:
-                x, y = payload
-                if not (hasattr(x, "parts") and hasattr(y, "parts")):
-                    raise TypeError
-            except (TypeError, ValueError):
-                return refuse(RejectReason.INVALID,
-                              "eval payload must be a ciphertext pair")
-        elif request.kind is RequestKind.KYBER_DECAPS:
-            if not hasattr(payload, "u"):
-                return refuse(RejectReason.INVALID,
-                              "decaps payload must be a Kyber ciphertext")
+        try:
+            handler.check(request.payload, n)
+        except (TypeError, ValueError):
+            return refuse(RejectReason.INVALID, handler.invalid.format(n=n))
         return None
 
     # -- queue plumbing -------------------------------------------------------
@@ -344,96 +416,108 @@ class CryptoPimService:
     # -- the drain loop -------------------------------------------------------
 
     async def _drain(self, state: _QueueState) -> None:
+        while True:
+            entries: List[Tuple[int, int, _Pending]] = []
+            try:
+                await self._serve_window(state, entries)
+            finally:
+                # every dequeued request has resolved by now, as a result
+                # or a typed rejection: count it done for drain()'s join
+                for _ in entries:
+                    state.queue.task_done()
+
+    async def _serve_window(self, state: _QueueState,
+                            entries: List[Tuple[int, int, _Pending]]) -> None:
+        """Collect one batch window into ``entries`` and serve it."""
         kind, n = state.key
         loop = asyncio.get_running_loop()
         tracing = self.tracer.enabled
-        while True:
-            entries: List[Tuple[int, int, _Pending]] = []
-            dequeued_at: Optional[List[float]] = [] if tracing else None
+        dequeued_at: Optional[List[float]] = [] if tracing else None
+        try:
+            await collect_batch(state.queue, state.window, out=entries,
+                                dequeued_at=dequeued_at)
+        except asyncio.CancelledError:
+            # shutdown mid-window: fail over whatever was already
+            # dequeued instead of dropping it silently
+            for _, _, pending in entries:
+                if not pending.future.done():
+                    pending.future.set_result(Rejection(
+                        request_id=pending.request.request_id,
+                        kind=kind, n=n,
+                        reason=RejectReason.SHUTDOWN,
+                        detail="service stopped mid-window"))
+                pending.trace.set(
+                    rejected=RejectReason.SHUTDOWN.value).finish()
+            raise
+        self._depth_gauge(state)
+        pendings = [entry[2] for entry in entries]
+        close_time = loop.time()
+        route_info: Optional[Dict[str, Any]] = {} if tracing else None
+        try:
             try:
-                await collect_batch(state.queue, state.window, out=entries,
-                                    dequeued_at=dequeued_at)
-            except asyncio.CancelledError:
-                # shutdown mid-window: fail over whatever was already
-                # dequeued instead of dropping it silently
-                for _, _, pending in entries:
-                    if not pending.future.done():
-                        pending.future.set_result(Rejection(
-                            request_id=pending.request.request_id,
-                            kind=kind, n=n,
-                            reason=RejectReason.SHUTDOWN,
-                            detail="service stopped mid-window"))
-                    pending.trace.set(
-                        rejected=RejectReason.SHUTDOWN.value).finish()
-                raise
-            self._depth_gauge(state)
-            pendings = [entry[2] for entry in entries]
-            close_time = loop.time()
-            route_info: Optional[Dict[str, Any]] = {} if tracing else None
-            try:
-                try:
-                    async with self.fleet.lease(
-                            n, route_info=route_info) as shard:
-                        mults = self._mult_equivalents(kind, pendings)
-                        timing = shard.gate.timeline.dispatch(
-                            n, mults * len(pendings))
-                        exec_start = loop.time()
-                        started = time.perf_counter()
-                        try:
-                            values = self._execute(kind, n, pendings)
-                        except Exception as error:  # bad payload that passed
-                            self._fail_batch(pendings, kind, n, error)
-                            continue
-                        service_s = time.perf_counter() - started
-                        exec_end = loop.time()
-                        chip_index = shard.index
-                except FleetDrained:
-                    # every chip is administratively drained: fail the
-                    # window over with typed rejections, don't drop it
-                    self._fail_batch(pendings, kind, n,
-                                     reason=RejectReason.SHUTDOWN,
-                                     detail="every fleet chip is drained")
-                    continue
-            except asyncio.CancelledError:
-                # shutdown while waiting on (or holding) the chip lease:
-                # the window already left the queue, so stop() will never
-                # see it - fail the dequeued futures over like the
-                # collect_batch handler above instead of abandoning them
+                async with self.fleet.lease(
+                        n, route_info=route_info) as shard:
+                    mults = _HANDLERS[kind].mults(
+                        self, pendings[0].request.payload)
+                    timing = shard.gate.timeline.dispatch(
+                        n, mults * len(pendings))
+                    exec_start = loop.time()
+                    started = time.perf_counter()
+                    try:
+                        values = self._execute(kind, n, pendings)
+                    except Exception as error:  # bad payload that passed
+                        self._fail_batch(pendings, kind, n, error)
+                        return
+                    service_s = time.perf_counter() - started
+                    exec_end = loop.time()
+                    chip_index = shard.index
+            except FleetDrained:
+                # every chip is administratively drained: fail the
+                # window over with typed rejections, don't drop it
                 self._fail_batch(pendings, kind, n,
                                  reason=RejectReason.SHUTDOWN,
-                                 detail="service stopped mid-dispatch")
-                raise
-            done_time = loop.time()
-            self.metrics.counter("batches_dispatched").inc()
-            self.metrics.counter(f"fleet.dispatched.chip{chip_index}").inc()
-            self.metrics.histogram("batch.size", unit="items").record(
-                len(pendings))
-            self.metrics.histogram("batch.occupancy", unit="frac").record(
-                len(pendings) / state.window.capacity)
-            for i, (pending, value) in enumerate(zip(pendings, values)):
-                cycle_idx = (i + 1) * mults - 1
-                result = ServeResult(
-                    request_id=pending.request.request_id,
-                    kind=kind,
-                    n=n,
-                    value=value,
-                    queue_wait_s=close_time - pending.enqueued_at,
-                    service_s=service_s,
-                    total_s=done_time - pending.enqueued_at,
-                    batch_size=len(pendings),
-                    completion_cycle=timing.completion_cycles[cycle_idx],
-                    completion_us=timing.completion_us[cycle_idx],
-                    chip=chip_index,
-                )
-                self._record_latency(result)
-                if tracing and pending.trace.enabled:
-                    self._trace_member(
-                        pending, i,
-                        dequeued_at if dequeued_at is not None else [],
-                        close_time, exec_start, exec_end, done_time,
-                        timing, chip_index, route_info)
-                if not pending.future.done():
-                    pending.future.set_result(result)
+                                 detail="every fleet chip is drained")
+                return
+        except asyncio.CancelledError:
+            # shutdown while waiting on (or holding) the chip lease:
+            # the window already left the queue, so stop() will never
+            # see it - fail the dequeued futures over like the
+            # collect_batch handler above instead of abandoning them
+            self._fail_batch(pendings, kind, n,
+                             reason=RejectReason.SHUTDOWN,
+                             detail="service stopped mid-dispatch")
+            raise
+        done_time = loop.time()
+        self.metrics.counter("batches_dispatched").inc()
+        self.metrics.counter(f"fleet.dispatched.chip{chip_index}").inc()
+        self.metrics.histogram("batch.size", unit="items").record(
+            len(pendings))
+        self.metrics.histogram("batch.occupancy", unit="frac").record(
+            len(pendings) / state.window.capacity)
+        for i, (pending, value) in enumerate(zip(pendings, values)):
+            cycle_idx = (i + 1) * mults - 1
+            result = ServeResult(
+                request_id=pending.request.request_id,
+                kind=kind,
+                n=n,
+                value=value,
+                queue_wait_s=close_time - pending.enqueued_at,
+                service_s=service_s,
+                total_s=done_time - pending.enqueued_at,
+                batch_size=len(pendings),
+                completion_cycle=timing.completion_cycles[cycle_idx],
+                completion_us=timing.completion_us[cycle_idx],
+                chip=chip_index,
+            )
+            self._record_latency(result)
+            if tracing and pending.trace.enabled:
+                self._trace_member(
+                    pending, i,
+                    dequeued_at if dequeued_at is not None else [],
+                    close_time, exec_start, exec_end, done_time,
+                    timing, chip_index, route_info)
+            if not pending.future.done():
+                pending.future.set_result(result)
 
     def _trace_member(self, pending: _Pending, index: int,
                       dequeued_at: List[float], close_time: float,
@@ -493,63 +577,26 @@ class CryptoPimService:
                     reason=reason, detail=detail))
             pending.trace.set(rejected=reason.value).finish()
 
-    # -- handlers -------------------------------------------------------------
-
-    def _mult_equivalents(self, kind: RequestKind,
-                          pendings: List[_Pending]) -> int:
-        """Chip multiplications charged per request of this batch."""
-        if kind in (RequestKind.KYBER_ENCAPS,):
-            kem, _, _ = self.kyber()
-            return kem.pke.multiplications_per_encrypt()
-        if kind is RequestKind.KYBER_DECAPS:
-            kem, _, _ = self.kyber()
-            return kem.pke.k
-        if kind in (RequestKind.BGV_MULTIPLY, RequestKind.BFV_MULTIPLY):
-            x, y = pendings[0].request.payload
-            return len(x.parts) * len(y.parts)
-        # POLYMUL and each NTT direction occupy one pipeline pass; adds are
-        # vector ops an order cheaper but still charged one slot
-        return 1
-
     def _execute(self, kind: RequestKind, n: int,
                  pendings: List[_Pending]) -> List[Any]:
-        payloads = [p.request.payload for p in pendings]
-        if kind is RequestKind.POLYMUL:
-            return self.accelerator(n).multiply_batch(payloads).results
-        if kind is RequestKind.NTT_FORWARD:
-            block = np.stack([np.asarray(p, dtype=np.uint64)
-                              for p in payloads])
-            return list(self.engine(n).forward_many(block))
-        if kind is RequestKind.NTT_INVERSE:
-            block = np.stack([np.asarray(p, dtype=np.uint64)
-                              for p in payloads])
-            return list(self.engine(n).inverse_many(block))
-        if kind is RequestKind.KYBER_ENCAPS:
-            kem, pk, _ = self.kyber()
-            return kem.encapsulate_many(pk, len(pendings))
-        if kind is RequestKind.KYBER_DECAPS:
-            kem, _, sk = self.kyber()
-            return kem.decapsulate_many(sk, payloads)
-        if kind is RequestKind.BGV_ADD:
-            scheme, _ = self.bgv(n)
-            return [scheme.add(x, y) for x, y in payloads]
-        if kind is RequestKind.BGV_MULTIPLY:
-            scheme, _ = self.bgv(n)
-            return scheme.multiply_many(payloads)
-        if kind is RequestKind.BFV_ADD:
-            scheme, _ = self.bfv(n)
-            return [scheme.add(x, y) for x, y in payloads]
-        if kind is RequestKind.BFV_MULTIPLY:
-            scheme, _ = self.bfv(n)
-            return scheme.multiply_many(payloads)
-        raise AssertionError(f"unhandled kind {kind}")  # pragma: no cover
+        return _HANDLERS[kind].execute(
+            self, n, [p.request.payload for p in pendings])
 
     # -- lifecycle ------------------------------------------------------------
 
     async def drain(self) -> None:
-        """Wait until every queue is empty and all in-flight work is done."""
-        while any(s.queue.qsize() for s in self._queues.values()):
-            await asyncio.sleep(0.001)
+        """Wait until every request submitted so far has resolved.
+
+        Joins each queue, which counts a request done only once its
+        future holds a result or a rejection - including requests sitting
+        in an open batch window, which have already left the queue.
+        """
+        joined = 0
+        while joined < len(self._queues):  # queues opened while joining
+            states = list(self._queues.values())
+            for state in states:
+                await state.queue.join()
+            joined = len(states)
         await self.fleet.quiesce()  # the last batch has released its chip
 
     async def stop(self) -> None:
@@ -577,6 +624,7 @@ class CryptoPimService:
                         detail="service stopped"))
                 pending.trace.set(
                     rejected=RejectReason.SHUTDOWN.value).finish()
+                state.queue.task_done()
 
     async def __aenter__(self) -> "CryptoPimService":
         return self

@@ -6,7 +6,7 @@ import pytest
 from repro.arch.dataflow import PimMachine
 from repro.core.pipeline import PipelineModel
 from repro.ntt.naive import schoolbook_negacyclic
-from repro.ntt.transform import negacyclic_multiply_np
+from repro.ntt.transform import NttEngine
 
 
 class TestFunctionalCorrectness:
@@ -23,7 +23,7 @@ class TestFunctionalCorrectness:
         p = machine.params
         a = rng.integers(0, p.q, 512)
         b = rng.integers(0, p.q, 512)
-        fast = negacyclic_multiply_np(a, b, p)
+        fast = NttEngine(p).multiply(a, b)
         assert np.array_equal(machine.multiply(a, b), fast)
 
     def test_identity_multiplication(self):

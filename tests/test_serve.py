@@ -624,6 +624,81 @@ class TestServiceAdmission:
                    for r in responses)
 
 
+class TestHandlerTable:
+    def test_every_kind_has_a_handler(self):
+        service = CryptoPimService()
+        for kind in RequestKind:
+            rejection = service._validate(
+                request_for(kind, n=256, payload=None))
+            if kind is RequestKind.KYBER_ENCAPS:
+                assert rejection is None   # encapsulation takes no payload
+            else:
+                assert rejection.reason == RejectReason.INVALID
+
+
+class TestServiceDrain:
+    """drain() returns only once every submitted request has resolved."""
+
+    def test_drain_waits_for_open_batch_window(self, rng):
+        """Regression: a request already dequeued into an open window is
+        invisible to the queue size, and drain() used to return at once."""
+        async def scenario():
+            config = ServiceConfig(max_batch_wait_s=0.5)
+            async with CryptoPimService(config) as service:
+                task = asyncio.create_task(
+                    service.submit(request_for(payload=polymul_payload(rng))))
+                await asyncio.sleep(0.01)  # dequeued; the window is open
+                await service.drain()
+                assert task.done()
+                return task.result()
+
+        assert serve(scenario()).ok
+
+    def test_drain_returns_after_handler_fault(self, rng, monkeypatch):
+        def explode(self, kind, n, pendings):
+            raise RuntimeError("handler fault")
+
+        monkeypatch.setattr(CryptoPimService, "_execute", explode)
+
+        async def scenario():
+            async with CryptoPimService() as service:
+                task = asyncio.create_task(
+                    service.submit(request_for(payload=polymul_payload(rng))))
+                await asyncio.sleep(0)
+                await asyncio.wait_for(service.drain(), 5.0)
+                return task.result()
+
+        assert serve(scenario()).reason == RejectReason.INVALID
+
+    def test_drain_returns_when_every_chip_is_drained(self, rng):
+        async def scenario():
+            async with CryptoPimService() as service:
+                service.fleet.mark_unhealthy(0)
+                task = asyncio.create_task(
+                    service.submit(request_for(payload=polymul_payload(rng))))
+                await asyncio.sleep(0)
+                await asyncio.wait_for(service.drain(), 5.0)
+                return task.result()
+
+        assert serve(scenario()).reason == RejectReason.SHUTDOWN
+
+    def test_drain_returns_after_stop(self, rng):
+        async def scenario():
+            config = ServiceConfig(max_batch_wait_s=5.0, batch_capacity=2)
+            service = CryptoPimService(config)
+            payload = polymul_payload(rng)
+            tasks = [asyncio.create_task(
+                service.submit(request_for(payload=payload)))
+                for _ in range(5)]
+            await asyncio.sleep(0.01)
+            await service.stop()
+            await asyncio.wait_for(service.drain(), 5.0)
+            return await asyncio.gather(*tasks)
+
+        assert all(r.ok or r.reason == RejectReason.SHUTDOWN
+                   for r in serve(scenario()))
+
+
 class TestLoadGenerator:
     def test_closed_loop_serves_everything(self):
         async def scenario():
